@@ -2150,9 +2150,14 @@ fn service_sweep(smoke: bool, seed: u64, repeat: usize) -> ServiceSweep {
     } else {
         &SERVICE_TENANTS
     };
+    // The grid keeps the pipeline's default ring depth, as recorded
+    // since the sweep landed; only the daemon's tenants run shallower.
+    let defaults = TenantRuntimeConfig::default();
     let runtime_config = TenantRuntimeConfig {
         tenant_budget_bytes: SERVICE_BUDGET,
-        ..TenantRuntimeConfig::default()
+        pipeline: PipelineConfig::with_shards(1)
+            .publish_interval(defaults.pipeline.publish_interval_batches),
+        ..defaults
     };
     // The sizing every contender (and the oracles) shares — derived
     // once; `TenantRuntime::new` is deterministic.

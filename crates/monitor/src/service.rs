@@ -21,9 +21,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroU64;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -47,6 +48,10 @@ pub struct ServiceConfig {
     pub default_latency: Duration,
     /// How often the accept loop sweeps for idle tenants to park.
     pub idle_sweep: Duration,
+    /// Events per second all connections together may ingest; `None`
+    /// ingests as fast as the pipelines go. An ingest frame's ack is
+    /// held until the frame fits the rate, less a 50 ms allowance.
+    pub ingest_rate: Option<NonZeroU64>,
 }
 
 impl Default for ServiceConfig {
@@ -55,7 +60,42 @@ impl Default for ServiceConfig {
             runtime: TenantRuntimeConfig::default(),
             default_latency: Duration::from_micros(100),
             idle_sweep: Duration::from_secs(1),
+            ingest_rate: None,
         }
+    }
+}
+
+/// How far ingest may run ahead of its budget before acks wait. It
+/// covers the work on a frame and the round trips between frames, so a
+/// closed-loop client ingests at exactly the budget's rate.
+const INGEST_BURST: Duration = Duration::from_millis(50);
+
+/// The daemon-wide ingest rate limit, a virtual clock as in GCRA: each
+/// ingest frame's events move the clock on by `events / rate` from the
+/// later of itself and the frame's arrival, and the frame is acked once
+/// the clock is no more than [`INGEST_BURST`] ahead of real time.
+struct IngestBudget {
+    rate: NonZeroU64,
+    clock: Mutex<Option<Instant>>,
+}
+
+impl IngestBudget {
+    fn new(rate: NonZeroU64) -> Self {
+        IngestBudget {
+            rate,
+            clock: Mutex::new(None),
+        }
+    }
+
+    /// Charges `events` from a frame that arrived at `arrived`; returns
+    /// when its ack may go.
+    fn charge(&self, events: u64, arrived: Instant) -> Instant {
+        let mut clock = self.clock.lock().unwrap_or_else(PoisonError::into_inner);
+        let start = clock.map_or(arrived, |at| at.max(arrived));
+        let due = start + Duration::from_nanos(events.saturating_mul(1_000_000_000) / self.rate);
+        *clock = Some(due);
+        due.checked_sub(INGEST_BURST)
+            .map_or(arrived, |release| release.max(arrived))
     }
 }
 
@@ -124,6 +164,7 @@ struct Connection {
     runtime: Arc<TenantRuntime>,
     shutdown: Arc<AtomicBool>,
     default_latency: Duration,
+    budget: Option<Arc<IngestBudget>>,
     tenant: Option<Arc<Mutex<Tenant>>>,
     feed: ChunkFeed,
     source: BlktraceEventSource<ChunkFeed>,
@@ -168,6 +209,7 @@ impl Connection {
         runtime: Arc<TenantRuntime>,
         shutdown: Arc<AtomicBool>,
         default_latency: Duration,
+        budget: Option<Arc<IngestBudget>>,
     ) -> Self {
         let feed = ChunkFeed::new();
         let source = BlktraceEventSource::new(feed.clone(), default_latency);
@@ -175,6 +217,7 @@ impl Connection {
             runtime,
             shutdown,
             default_latency,
+            budget,
             tenant: None,
             feed,
             source,
@@ -241,7 +284,23 @@ impl Connection {
         }
     }
 
+    /// Handles one frame; an ingest frame's ack waits for the budget.
     fn handle(&mut self, frame: Frame) -> Reply {
+        let arrived = Instant::now();
+        let events = self.events;
+        let reply = self.dispatch(frame);
+        if let Some(budget) = &self.budget {
+            // `Open` resets the count; only growth is ingest.
+            let ingested = self.events.saturating_sub(events);
+            if ingested > 0 {
+                let release = budget.charge(ingested, arrived);
+                thread::sleep(release.saturating_duration_since(Instant::now()));
+            }
+        }
+        reply
+    }
+
+    fn dispatch(&mut self, frame: Frame) -> Reply {
         match frame.kind {
             FrameKind::Open => {
                 let Ok(id) = std::str::from_utf8(&frame.payload) else {
@@ -397,6 +456,9 @@ impl Connection {
 pub fn serve(listener: TcpListener, config: ServiceConfig) -> io::Result<()> {
     let runtime = Arc::new(TenantRuntime::new(config.runtime.clone()));
     let shutdown = Arc::new(AtomicBool::new(false));
+    let budget = config
+        .ingest_rate
+        .map(|rate| Arc::new(IngestBudget::new(rate)));
     listener.set_nonblocking(true)?;
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     let mut last_sweep = Instant::now();
@@ -406,16 +468,19 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> io::Result<()> {
                 let runtime = Arc::clone(&runtime);
                 let shutdown = Arc::clone(&shutdown);
                 let default_latency = config.default_latency;
+                let budget = budget.clone();
                 workers.push(thread::spawn(move || {
+                    let connection = Connection::new(runtime, shutdown, default_latency, budget);
                     // A broken connection already cleaned up after
                     // itself; nothing to report.
-                    let _ = handle_connection(stream, runtime, shutdown, default_latency);
+                    let _ = handle_connection(stream, connection);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) => return Err(e),
+            Err(e) => match accept_failure(&e) {
+                AcceptFailure::Retry => {}
+                AcceptFailure::BackOff => thread::sleep(POLL_INTERVAL),
+                AcceptFailure::Fatal => return Err(e),
+            },
         }
         workers.retain(|w| !w.is_finished());
         if last_sweep.elapsed() >= config.idle_sweep {
@@ -430,14 +495,37 @@ pub fn serve(listener: TcpListener, config: ServiceConfig) -> io::Result<()> {
     Ok(())
 }
 
+/// What the accept loop does after a failed `accept`.
+#[derive(Debug, PartialEq, Eq)]
+enum AcceptFailure {
+    /// The failure belonged to one pending connection; accept again.
+    Retry,
+    /// Nothing to accept yet, or the process is out of descriptors
+    /// until some connection closes; wait a poll interval.
+    BackOff,
+    /// The listener itself is broken; stop serving.
+    Fatal,
+}
+
+/// `errno` values for descriptor exhaustion, the same on Linux and the
+/// BSDs; std maps neither to an `ErrorKind`.
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
+
+fn accept_failure(e: &io::Error) -> AcceptFailure {
+    match e.kind() {
+        io::ErrorKind::WouldBlock => AcceptFailure::BackOff,
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted => AcceptFailure::Retry,
+        _ if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => AcceptFailure::BackOff,
+        _ => AcceptFailure::Fatal,
+    }
+}
+
 /// One connection's read-dispatch-write loop.
-fn handle_connection(
-    mut stream: TcpStream,
-    runtime: Arc<TenantRuntime>,
-    shutdown: Arc<AtomicBool>,
-    default_latency: Duration,
-) -> io::Result<()> {
-    let mut connection = Connection::new(runtime, shutdown, default_latency);
+fn handle_connection(mut stream: TcpStream, mut connection: Connection) -> io::Result<()> {
+    // Replies go out as they are written; with Nagle on, a reply could
+    // wait for the client's delayed ACK of the previous one.
+    stream.set_nodelay(true)?;
     loop {
         // Wait for the next frame at poll granularity so a daemon
         // shutdown (or this client going away) is noticed promptly,
@@ -471,5 +559,42 @@ fn handle_connection(
         if reply.hangup {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_listener_failures_stop_the_accept_loop() {
+        let kind = |kind: io::ErrorKind| accept_failure(&io::Error::from(kind));
+        let errno = |code: i32| accept_failure(&io::Error::from_raw_os_error(code));
+        assert_eq!(kind(io::ErrorKind::WouldBlock), AcceptFailure::BackOff);
+        assert_eq!(kind(io::ErrorKind::ConnectionAborted), AcceptFailure::Retry);
+        assert_eq!(kind(io::ErrorKind::Interrupted), AcceptFailure::Retry);
+        assert_eq!(errno(EMFILE), AcceptFailure::BackOff);
+        assert_eq!(errno(ENFILE), AcceptFailure::BackOff);
+        assert_eq!(kind(io::ErrorKind::InvalidInput), AcceptFailure::Fatal);
+    }
+
+    #[test]
+    fn the_ingest_budget_paces_acks_to_its_rate() {
+        let budget = IngestBudget::new(NonZeroU64::new(1_000).unwrap());
+        let t0 = Instant::now();
+        let ms = |n: u64| Duration::from_millis(n);
+        // 500 events at 1,000/s take 500 ms of budget, of which the
+        // burst allowance need not be waited out.
+        assert_eq!(budget.charge(500, t0), t0 + ms(500) - INGEST_BURST);
+        // A frame arriving while the clock runs ahead queues behind it.
+        assert_eq!(budget.charge(250, t0 + ms(1)), t0 + ms(750) - INGEST_BURST);
+        // After an idle spell the clock restarts at the arrival, and a
+        // frame within the burst allowance is acked at once.
+        let later = t0 + ms(5_000);
+        assert_eq!(budget.charge(10, later), later);
+        assert_eq!(
+            budget.charge(100, later + ms(2)),
+            later + ms(110) - INGEST_BURST
+        );
     }
 }

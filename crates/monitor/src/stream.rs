@@ -140,9 +140,19 @@ impl<R: Read> BlktraceReader<R> {
     }
 }
 
+/// The D/C pairing key: `(sector, blocks, pid)`, the oracle's.
+type PairingKey = (u64, u32, u32);
+
+/// End-of-chain marker for [`Pending::next`].
+const NO_NEXT: u64 = u64::MAX;
+
 /// An issue waiting in the emission queue for its completion.
 struct Pending {
     event: IoEvent,
+    key: PairingKey,
+    /// Sequence number of the next unresolved issue with the same key
+    /// (the intrusive per-key FIFO), or [`NO_NEXT`].
+    next: u64,
     resolved: bool,
 }
 
@@ -157,10 +167,13 @@ pub struct BlktraceEventSource<R: Read> {
     /// front element is `front_seq`.
     pending: VecDeque<Pending>,
     front_seq: u64,
-    /// (sector, blocks, pid) → sequence numbers of unresolved issues,
-    /// FIFO — the same pairing rule as the oracle. Stale entries
-    /// (issues force-emitted past the window) are skipped lazily.
-    inflight: FxHashMap<(u64, u32, u32), VecDeque<u64>>,
+    /// Key → `(head, tail)` sequence numbers of its chain of unresolved,
+    /// not yet emitted issues, linked through [`Pending::next`] — FIFO
+    /// per key, the oracle's pairing rule. A key leaves the map when its
+    /// chain empties, so it never holds more keys than `pending` holds
+    /// issues (at most `max_inflight + 1`), and once warm it allocates
+    /// nothing however many distinct keys the stream carries.
+    inflight: FxHashMap<PairingKey, (u64, u64)>,
     done: bool,
 }
 
@@ -199,8 +212,37 @@ impl<R: Read> BlktraceEventSource<R> {
         self.records.bytes_read()
     }
 
+    /// Keys with at least one issue awaiting its completion.
+    #[cfg(test)]
+    pub(crate) fn pairing_keys(&self) -> usize {
+        self.inflight.len()
+    }
+
+    fn pending_mut(&mut self, seq: u64) -> &mut Pending {
+        let index = (seq - self.front_seq) as usize;
+        self.pending.get_mut(index).expect("seq in window")
+    }
+
+    /// Removes the head of `key`'s chain, whose successor is `next`.
+    fn unlink_head(&mut self, key: PairingKey, next: u64) {
+        if next == NO_NEXT {
+            self.inflight.remove(&key);
+        } else {
+            self.inflight.get_mut(&key).expect("chain exists").0 = next;
+        }
+    }
+
     fn emit_front(&mut self) -> IoEvent {
         let front = self.pending.pop_front().expect("front exists");
+        if !front.resolved {
+            // Forced out past the window or at end of stream. As the
+            // oldest pending issue it heads its key's chain.
+            debug_assert_eq!(
+                self.inflight.get(&front.key).map(|c| c.0),
+                Some(self.front_seq)
+            );
+            self.unlink_head(front.key, front.next);
+        }
         self.front_seq += 1;
         front.event
     }
@@ -240,26 +282,32 @@ impl<R: Read> EventSource for BlktraceEventSource<R> {
                                     extent,
                                     self.default_latency,
                                 ),
+                                key,
+                                next: NO_NEXT,
                                 resolved: false,
                             });
-                            self.inflight.entry(key).or_default().push_back(seq);
+                            match self.inflight.get_mut(&key) {
+                                Some((_, tail)) => {
+                                    let prev = std::mem::replace(tail, seq);
+                                    self.pending_mut(prev).next = seq;
+                                }
+                                None => {
+                                    self.inflight.insert(key, (seq, seq));
+                                }
+                            }
                         }
                         Action::Complete => {
-                            if let Some(queue) = self.inflight.get_mut(&key) {
-                                // Skip issues already force-emitted.
-                                while queue.front().is_some_and(|&s| s < self.front_seq) {
-                                    queue.pop_front();
-                                }
-                                if let Some(seq) = queue.pop_front() {
-                                    let idx = (seq - self.front_seq) as usize;
-                                    let pending = self.pending.get_mut(idx).expect("seq in window");
-                                    let issued = pending.event.timestamp.as_nanos();
-                                    pending.event.latency =
-                                        Duration::from_nanos(record.time_ns.saturating_sub(issued));
-                                    pending.resolved = true;
-                                }
-                                // Orphan completions are dropped, as
-                                // blkparse does.
+                            // Orphan completions (no unresolved issue of
+                            // this key in the window) are dropped, as
+                            // blkparse does.
+                            if let Some(&(head, _)) = self.inflight.get(&key) {
+                                let pending = self.pending_mut(head);
+                                let issued = pending.event.timestamp.as_nanos();
+                                pending.event.latency =
+                                    Duration::from_nanos(record.time_ns.saturating_sub(issued));
+                                pending.resolved = true;
+                                let next = pending.next;
+                                self.unlink_head(key, next);
                             }
                         }
                     }
@@ -464,6 +512,49 @@ mod tests {
         // The last issue is still pending at EOF drain time, and its
         // completion arrived before the stream ended.
         assert_eq!(events[2].latency, Duration::from_micros(8));
+    }
+
+    #[test]
+    fn pairing_map_never_exceeds_the_window() {
+        // Keys repeat (17 extents), completions trail their issues by up
+        // to 40 later issues, and every fifth issue never completes: the
+        // window overflows constantly, force-emits unlink chain heads,
+        // and late completions find their issue gone.
+        let mut trace = Trace::new("t");
+        for i in 0..5_000u64 {
+            let request = IoRequest::new(
+                Timestamp::from_micros(i * 50),
+                7,
+                IoOp::Read,
+                Extent::new((i % 17) * 64, 8).unwrap(),
+            );
+            trace.push(if i % 5 == 0 {
+                request
+            } else {
+                request.with_latency(Duration::from_micros((i * 37) % 2_000))
+            });
+        }
+        let mut buf = Vec::new();
+        write_trace(&trace, &mut buf).unwrap();
+        for max_inflight in [1, 8, 64] {
+            let mut source = BlktraceEventSource::with_limits(
+                buf.as_slice(),
+                Duration::ZERO,
+                DEFAULT_CHUNK_BYTES,
+                max_inflight,
+            );
+            let mut events = 0;
+            while source.next_event().unwrap().is_some() {
+                events += 1;
+                assert!(
+                    source.pairing_keys() <= max_inflight + 1,
+                    "{} keys with a window of {max_inflight}",
+                    source.pairing_keys()
+                );
+            }
+            assert_eq!(events, trace.len());
+            assert_eq!(source.pairing_keys(), 0, "keys left after end of stream");
+        }
     }
 
     #[test]

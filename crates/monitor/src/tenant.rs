@@ -56,7 +56,13 @@ impl Default for TenantRuntimeConfig {
             tenant_budget_bytes: 512 * 1024,
             doorkeeper_bytes: 0,
             monitor: MonitorConfig::default(),
-            pipeline: PipelineConfig::with_shards(1).publish_interval(4),
+            // Rings of 16 batches, not the pipeline's default 64: every
+            // live tenant holds its ring's buffers (each grown to the
+            // largest batch it has carried), and a daemon keeps many
+            // tenants live at once (DESIGN.md §16).
+            pipeline: PipelineConfig::with_shards(1)
+                .publish_interval(4)
+                .ring_capacity(16),
             idle_park_after: Duration::from_secs(30),
         }
     }

@@ -373,11 +373,11 @@ fn assert_publish_and_query_steady_state_allocation_free() {
 
 /// A trace whose on-disk encoding is byte-uniform in every format: a
 /// constant time stride (offset high enough that tick/varint widths
-/// never grow mid-file), a 64-extent cycle, and a constant latency —
-/// so every reader's reusable buffers reach their high-water mark
-/// during the warmup half and the measured half cannot trigger a
+/// never grow mid-file), a cycle of `extents` extents, and a constant
+/// latency — so every reader's reusable buffers reach their high-water
+/// mark during the warmup half and the measured half cannot trigger a
 /// late growth reallocation by construction.
-fn fixed_stride_trace(requests: usize) -> Trace {
+fn fixed_stride_trace(requests: usize, extents: u64) -> Trace {
     let mut trace = Trace::new("alloc");
     for i in 0..requests as u64 {
         trace.push(
@@ -385,7 +385,7 @@ fn fixed_stride_trace(requests: usize) -> Trace {
                 Timestamp::from_micros(1_000_000 + i),
                 3,
                 if i % 2 == 0 { IoOp::Read } else { IoOp::Write },
-                Extent::new(100 + (i % 64) * 10, 4).unwrap(),
+                Extent::new(100 + (i % extents) * 10, 4).unwrap(),
             )
             .with_latency(Duration::from_micros(100)),
         );
@@ -427,7 +427,7 @@ fn assert_second_half_allocation_free<T>(
 /// The streaming readers' zero-allocation contract: after warmup,
 /// pulling the next record from any on-disk format allocates nothing.
 fn assert_streaming_decoders_allocation_free() {
-    let trace = fixed_stride_trace(64 * 200);
+    let trace = fixed_stride_trace(64 * 200, 64);
 
     // Blktrace binary, with online D/C pairing (the pending window and
     // pairing map plateau at the 100-deep in-flight cycle).
@@ -457,6 +457,18 @@ fn assert_streaming_decoders_allocation_free() {
     let mut source = MsrCsvReader::new(csv.as_slice());
     assert_second_half_allocation_free("msr_csv", trace.len(), || {
         source.next_request().expect("well-formed csv")
+    });
+
+    // Blktrace again, every request on a fresh extent: each issue opens
+    // a pairing key that its completion closes ~100 issues later, so a
+    // decoder keeping state for every key it has seen would allocate on
+    // each new one. The pairing map must churn within its plateau.
+    let trace = fixed_stride_trace(64 * 200, u64::MAX);
+    let mut blk = Vec::new();
+    blktrace::write_trace(&trace, &mut blk).expect("in-memory write");
+    let mut source = BlktraceEventSource::new(blk.as_slice(), Duration::from_micros(50));
+    assert_second_half_allocation_free("blktrace, never-repeating keys", trace.len(), || {
+        source.next_event().expect("well-formed blktrace")
     });
 }
 

@@ -15,7 +15,7 @@
 //! buffers reach their plateau — allocate nothing; shard workers
 //! publish through wait-free SPSC rings and never block on readers.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::hash::Hash;
 
@@ -53,7 +53,8 @@ pub struct LiveView {
     /// Hot-pair splitting upstream: a pair's tally may be spread over
     /// several mirrors and merges must sum per pair.
     split_tallies: bool,
-    /// Reused per-mirror sorted lists for the k-way merge (non-split).
+    /// Reused per-mirror lists (non-split): sorted for the k-way merge,
+    /// or cut to each mirror's top k.
     lists: Vec<Vec<(ExtentPair, u32)>>,
     /// Reused merge heap, keyed like `ShardedAnalyzer::frequent_pairs`.
     heap: BinaryHeap<(u32, Reverse<ExtentPair>, usize, usize)>,
@@ -160,31 +161,13 @@ impl LiveView {
     pub fn frequent_pairs_into(&mut self, min_tally: u32, out: &mut Vec<(ExtentPair, u32)>) {
         out.clear();
         if self.split_tallies {
-            self.sums.clear();
-            for mirror in &self.mirrors {
-                for (pair, tally, _) in mirror.pairs.iter() {
-                    *self.sums.entry(*pair).or_insert(0) += tally;
-                }
-            }
-            out.extend(
-                self.sums
-                    .iter()
-                    .filter(|&(_, &tally)| tally >= min_tally)
-                    .map(|(&pair, &tally)| (pair, tally)),
-            );
-            out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            self.summed_pairs_into(min_tally, out);
+            out.sort_unstable_by(strongest_first);
             return;
         }
         for (mirror, list) in self.mirrors.iter().zip(self.lists.iter_mut()) {
-            list.clear();
-            list.extend(
-                mirror
-                    .pairs
-                    .iter()
-                    .filter(|&(_, tally, _)| tally >= min_tally)
-                    .map(|(pair, tally, _)| (*pair, tally)),
-            );
-            list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            stored_pairs_into(&mirror.pairs, min_tally, list);
+            list.sort_unstable_by(strongest_first);
         }
         self.heap.clear();
         for (i, list) in self.lists.iter().enumerate() {
@@ -203,10 +186,49 @@ impl LiveView {
 
     /// The `k` strongest stored correlations (any tally), strongest
     /// first — [`frequent_pairs_into`](LiveView::frequent_pairs_into)
-    /// truncated to `k`.
+    /// truncated to `k`, without sorting what the truncation drops.
+    ///
+    /// Selection instead of a full sort: each mirror keeps its own top
+    /// `k` (`select_nth_unstable_by`, O(n)), a second selection picks
+    /// the top `k` of those at most `shards × k` candidates, and only
+    /// the final `k` are sorted. With split tallies the per-pair sums
+    /// come first, then one selection. The comparator is a total order
+    /// over unique pairs, so the output is identical to the truncated
+    /// full sort. With a warm `out` and warm scratch this performs no
+    /// allocation.
     pub fn top_pairs_into(&mut self, k: usize, out: &mut Vec<(ExtentPair, u32)>) {
-        self.frequent_pairs_into(1, out);
-        out.truncate(k);
+        out.clear();
+        if k == 0 {
+            return;
+        }
+        if self.split_tallies {
+            self.summed_pairs_into(1, out);
+        } else {
+            for (mirror, list) in self.mirrors.iter().zip(self.lists.iter_mut()) {
+                stored_pairs_into(&mirror.pairs, 1, list);
+                keep_strongest(list, k);
+                out.extend_from_slice(list);
+            }
+        }
+        keep_strongest(out, k);
+        out.sort_unstable_by(strongest_first);
+    }
+
+    /// Split path: appends every pair whose tally summed across the
+    /// mirrors is at least `min_tally`, unordered.
+    fn summed_pairs_into(&mut self, min_tally: u32, out: &mut Vec<(ExtentPair, u32)>) {
+        self.sums.clear();
+        for mirror in &self.mirrors {
+            for (pair, tally, _) in mirror.pairs.iter() {
+                *self.sums.entry(*pair).or_insert(0) += tally;
+            }
+        }
+        out.extend(
+            self.sums
+                .iter()
+                .filter(|&(_, &tally)| tally >= min_tally)
+                .map(|(&pair, &tally)| (pair, tally)),
+        );
     }
 
     /// Point query: the merged tally of `pair`, if stored. Without
@@ -298,6 +320,36 @@ impl LiveView {
             + self.sums.capacity()
                 * (std::mem::size_of::<ExtentPair>() + std::mem::size_of::<u32>());
         mirrors + scratch
+    }
+}
+
+/// Replaces `list` with `table`'s pairs of tally at least `min_tally`,
+/// unordered.
+fn stored_pairs_into(
+    table: &TwoTierTable<ExtentPair>,
+    min_tally: u32,
+    list: &mut Vec<(ExtentPair, u32)>,
+) {
+    list.clear();
+    list.extend(
+        table
+            .iter()
+            .filter(|&(_, tally, _)| tally >= min_tally)
+            .map(|(pair, tally, _)| (*pair, tally)),
+    );
+}
+
+/// The report order: descending tally, then ascending pair.
+fn strongest_first(a: &(ExtentPair, u32), b: &(ExtentPair, u32)) -> Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Keeps the `k >= 1` strongest entries of `list`, in no particular
+/// order.
+fn keep_strongest(list: &mut Vec<(ExtentPair, u32)>, k: usize) {
+    if list.len() > k {
+        list.select_nth_unstable_by(k - 1, strongest_first);
+        list.truncate(k);
     }
 }
 
@@ -419,6 +471,68 @@ mod tests {
         // Items were recorded on both shards; the point query sums.
         assert_eq!(view.item_tally(&e(1, 1)), Some(5));
         assert_eq!(view.item_tally(&e(999, 1)), None);
+    }
+
+    /// Pair `j` of `distinct` two-extent transactions occurs `j % 3 + 1`
+    /// times, so most tallies tie and the pair order decides the report.
+    fn tied_stream(distinct: u64) -> Vec<Transaction> {
+        (0..3u64)
+            .flat_map(|round| (0..distinct).filter(move |j| j % 3 >= round))
+            .map(|j| txn(&[e(1_000 + j, 1), e(9_000 + j, 1)]))
+            .collect()
+    }
+
+    /// A view folded from `shard_count` shards fed `transactions`. With
+    /// `split`, transaction `i` goes whole to shard `i % shard_count`,
+    /// the way hot-pair splitting deals a pair's occurrences, so tallies
+    /// are spread over the shards and the view must sum them.
+    fn folded_view(shard_count: usize, split: bool, transactions: &[Transaction]) -> LiveView {
+        let config = AnalyzerConfig::with_capacity(4 * 1024);
+        let mut shards = ShardedAnalyzer::new(config.clone(), shard_count).into_shards();
+        for shard in &mut shards {
+            shard.enable_delta_tracking();
+        }
+        for (i, t) in transactions.iter().enumerate() {
+            if split {
+                let pairs: Vec<ExtentPair> = t.unique_pairs().collect();
+                shards[i % shard_count].process_routed(&t.unique_extents(), &pairs);
+            } else {
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    shard.process_partition(t, s, shard_count);
+                }
+            }
+        }
+        let mut view = LiveView::new(&config, shard_count, split);
+        let mut delta = ShardDelta::default();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            shard.extract_delta(&mut delta);
+            delta.epoch = Epoch::new(1);
+            view.apply_delta(s, &delta);
+        }
+        view
+    }
+
+    #[test]
+    fn top_pairs_select_exactly_the_truncated_full_sort() {
+        let mut out = Vec::new();
+        for transactions in [stream(600), tied_stream(300)] {
+            for shard_count in [1, 2, 4] {
+                for split in [false, true] {
+                    let mut view = folded_view(shard_count, split, &transactions);
+                    let full = view.frequent_pairs(1);
+                    let n = full.len();
+                    assert!(n > 64, "stream too small to exercise selection");
+                    for k in [0, 1, 20, 64, n + 1] {
+                        view.top_pairs_into(k, &mut out);
+                        assert_eq!(
+                            out,
+                            full[..k.min(n)],
+                            "k {k}, {shard_count} shards, split {split}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

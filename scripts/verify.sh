@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> rtdac_bench smoke tests"
+# The end-to-end benchmark is a package of its own (outside the
+# workspace), built against the crates' public API: its smoke tests
+# catch an API change that would break it.
+cargo test --release --offline --manifest-path rtdac_bench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

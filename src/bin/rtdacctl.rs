@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -99,8 +98,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let addr = flags
         .get("addr")
         .ok_or("--addr HOST:PORT is required (see rtdacd's stdout)")?;
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let mut client = WireClient::new(stream);
+    let mut client =
+        WireClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let tenant_arg = |index: usize| -> Result<&String, String> {
         positional
             .get(index)

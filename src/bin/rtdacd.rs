@@ -11,29 +11,35 @@
 //! ```text
 //! rtdacd [--addr HOST:PORT] [--port-file PATH] [--max-tenants N]
 //!        [--budget BYTES] [--doorkeeper BYTES] [--shards N]
-//!        [--idle-park-ms MS]
+//!        [--idle-park-ms MS] [--ingest-rate EVENTS_PER_S]
 //! ```
 //!
 //! `--addr 127.0.0.1:0` (the default) picks an ephemeral port; the
 //! bound address is printed on stdout and, with `--port-file`, the
 //! port alone is written there for scripts to pick up. Stop the
 //! daemon with `rtdacctl shutdown` (every tenant is drained cleanly).
+//!
+//! The daemon runs beside the storage stack it watches, so by default
+//! it ingests at most 250,000 events/s over all connections: a bulk
+//! replay then holds a bounded share of the host's CPU, and the clients
+//! see one steady rate. `--ingest-rate 0` lifts the limit.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rtdac::monitor::{serve, PipelineConfig, ServiceConfig};
+use rtdac::monitor::{serve, ServiceConfig};
 
 const USAGE: &str = "usage:
   rtdacd [--addr HOST:PORT] [--port-file PATH] [--max-tenants N]
          [--budget BYTES] [--doorkeeper BYTES] [--shards N]
-         [--idle-park-ms MS]
+         [--idle-park-ms MS] [--ingest-rate EVENTS_PER_S]
 
 defaults: --addr 127.0.0.1:0 (ephemeral port, printed on stdout),
 --max-tenants 64, --budget 524288 bytes per tenant, --doorkeeper 0,
---shards 1, --idle-park-ms 30000.";
+--shards 1, --idle-park-ms 30000, --ingest-rate 250000 (0: no limit).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,6 +88,7 @@ fn run(args: &[String]) -> Result<(), String> {
             "doorkeeper",
             "shards",
             "idle-park-ms",
+            "ingest-rate",
         ]
         .contains(&name.as_str())
         {
@@ -101,9 +108,10 @@ fn run(args: &[String]) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
-    config.runtime.pipeline = PipelineConfig::with_shards(shards).publish_interval(4);
+    config.runtime.pipeline.shard_count = shards;
     config.runtime.idle_park_after =
         Duration::from_millis(parse_flag(&flags, "idle-park-ms", 30_000u64)?);
+    config.ingest_rate = NonZeroU64::new(parse_flag(&flags, "ingest-rate", 250_000u64)?);
 
     let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener

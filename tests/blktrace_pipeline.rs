@@ -5,9 +5,11 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use rtdac::monitor::{blktrace, BlktraceEventSource, Monitor, MonitorConfig, WindowPolicy};
+use rtdac::monitor::{
+    blktrace, BlktraceEventSource, Monitor, MonitorConfig, WindowPolicy, DEFAULT_MAX_INFLIGHT,
+};
 use rtdac::synopsis::{AnalyzerConfig, OnlineAnalyzer};
-use rtdac::types::{EventSource, ExtentPair, IoEvent, Trace};
+use rtdac::types::{EventSource, Extent, ExtentPair, IoEvent, IoOp, IoRequest, Timestamp, Trace};
 use rtdac::workloads::MsrServer;
 
 fn direct_events(trace: &Trace) -> Vec<IoEvent> {
@@ -120,6 +122,55 @@ fn streaming_reader_is_event_exact_across_chunk_boundaries() {
             streamed, oracle,
             "streaming decode diverged from the oracle at chunk size {chunk_bytes}"
         );
+    }
+}
+
+#[test]
+fn never_repeating_extents_stay_event_exact_under_a_small_window() {
+    // 120k requests, every extent distinct, so each issue's pairing key
+    // is new and leaves the pairing map once the issue is resolved or
+    // emitted. Completions trail their issues by at most three later
+    // issues; every tenth request never completes, so it holds the front
+    // of an 8-deep window until the window overflows and forces it out
+    // with the default latency, exactly the oracle's unmatched rule.
+    let mut trace = Trace::new("unique");
+    for i in 0..120_000u64 {
+        let request = IoRequest::new(
+            Timestamp::from_micros(1_000 + i * 10),
+            (i % 4) as u32,
+            if i % 3 == 0 { IoOp::Write } else { IoOp::Read },
+            Extent::new(i * 16, 8).expect("valid extent"),
+        );
+        trace.push(if i % 10 == 0 {
+            request
+        } else {
+            request.with_latency(Duration::from_micros(1 + (i * 7) % 29))
+        });
+    }
+    let mut buf = Vec::new();
+    blktrace::write_trace(&trace, &mut buf).expect("in-memory write");
+    let oracle =
+        blktrace::read_events(buf.as_slice(), Duration::from_micros(100)).expect("oracle decode");
+    assert_eq!(oracle.len(), trace.len());
+
+    for max_inflight in [DEFAULT_MAX_INFLIGHT, 8] {
+        for chunk_bytes in [4_099, 97, 41] {
+            let mut source = BlktraceEventSource::with_limits(
+                buf.as_slice(),
+                Duration::from_micros(100),
+                chunk_bytes,
+                max_inflight,
+            );
+            let mut streamed = Vec::with_capacity(oracle.len());
+            while let Some(event) = source.next_event().expect("well-formed stream") {
+                streamed.push(event);
+            }
+            assert!(
+                streamed == oracle,
+                "streaming decode diverged from the oracle at chunk size {chunk_bytes}, \
+                 window {max_inflight}"
+            );
+        }
     }
 }
 

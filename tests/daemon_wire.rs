@@ -4,8 +4,9 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroU64;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtdac::monitor::{blktrace, serve, BlktraceEventSource, Monitor, ServiceConfig, TenantRuntime};
 use rtdac::synopsis::ReferenceAnalyzer;
@@ -33,7 +34,7 @@ fn spawn_daemon(config: ServiceConfig) -> (std::net::SocketAddr, thread::JoinHan
 }
 
 fn connect(addr: std::net::SocketAddr) -> WireClient<TcpStream> {
-    WireClient::new(TcpStream::connect(addr).expect("connect"))
+    WireClient::connect(addr).expect("connect")
 }
 
 /// A synthesized trace in its blktrace-binary (= wire ingest) form.
@@ -111,6 +112,65 @@ fn two_concurrent_tenants_are_bit_exact_and_isolated() {
         assert!(stats.events > 0 && stats.transactions > 0);
     }
     assert_eq!(client.tenants().expect("list"), ["stg", "wdev"]);
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon exits");
+}
+
+/// Median of 50 sequential `stats()` round trips on `client`.
+fn median_stats_round_trip(client: &mut WireClient<TcpStream>) -> Duration {
+    client.open("rtt").expect("open");
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let sent = Instant::now();
+            client.stats().expect("stats");
+            sent.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    round_trips[round_trips.len() / 2]
+}
+
+#[test]
+fn replies_do_not_wait_for_delayed_acks() {
+    // A reply written as two segments leaves its second behind Nagle's
+    // algorithm until the client's delayed ACK (~40 ms) releases it.
+    let (addr, daemon) = spawn_daemon(service_config());
+    // Nagle stays on at this client, so only the server's framing and
+    // socket options are under test.
+    let mut plain = WireClient::new(TcpStream::connect(addr).expect("connect"));
+    let mut tuned = connect(addr);
+    for (what, client) in [("plain", &mut plain), ("WireClient::connect", &mut tuned)] {
+        let median = median_stats_round_trip(client);
+        assert!(
+            median < Duration::from_millis(10),
+            "{what}: median stats round trip {median:?}"
+        );
+    }
+    tuned.shutdown().expect("shutdown");
+    daemon.join().expect("daemon exits");
+}
+
+#[test]
+fn the_ingest_rate_limit_paces_a_closed_loop_client() {
+    let mut config = service_config();
+    let rate = 20_000;
+    config.ingest_rate = NonZeroU64::new(rate);
+    let (addr, daemon) = spawn_daemon(config.clone());
+    let bytes = trace_bytes(MsrServer::Wdev, 4_000, 9);
+    let mut client = connect(addr);
+    client.open("paced").expect("open");
+    let started = Instant::now();
+    for chunk in bytes.chunks(16 * 1024) {
+        client.ingest(chunk).expect("ingest");
+    }
+    let events = client.end_ingest().expect("end ingest");
+    let elapsed = started.elapsed();
+    // Only the burst allowance (50 ms) goes unpaced.
+    let paced = Duration::from_secs_f64(events as f64 / rate as f64) - Duration::from_millis(50);
+    assert!(elapsed >= paced, "{events} events in {elapsed:?}");
+    // Pacing delays acks, never changes what was ingested.
+    let oracle = oracle_pairs(&bytes, &config);
+    assert_eq!(client.top_k(oracle.len() as u32).expect("top-k"), oracle);
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon exits");
 }
